@@ -132,13 +132,16 @@ cover:
 	$(GO) test -short -cover ./...
 
 # Short fuzz pass over the event-log parsers (native go fuzzing), plus
-# the shard-planner equivalence property one layer up and the scenario
-# spec decoder (malformed catalogue entries must error, never panic).
+# the shard-planner equivalence property one layer up, the schema
+# widening fast path (must equal the full classify-and-merge), and the
+# scenario spec decoder (malformed catalogue entries must error, never
+# panic).
 fuzz:
 	$(GO) test -fuzz FuzzApacheAccessLog -fuzztime 30s ./internal/parsers/
 	$(GO) test -fuzz FuzzMySQLSlowLog -fuzztime 30s ./internal/parsers/
 	$(GO) test -fuzz FuzzTokenizerEquivalence -fuzztime 30s ./internal/parsers/
 	$(GO) test -fuzz FuzzShardedParseEquivalence -fuzztime 30s ./internal/transform/
+	$(GO) test -fuzz FuzzWidenEquivalence -fuzztime 30s ./internal/xmlcsv/
 	$(GO) test -fuzz FuzzWireFrameDecode -fuzztime 30s ./internal/wire/
 	$(GO) test -fuzz FuzzScenarioConfigDecode -fuzztime 30s ./internal/scenario/
 

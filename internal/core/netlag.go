@@ -60,8 +60,8 @@ func netLagSeries(db *mscopedb.DB, up, down string, window time.Duration) (*msco
 }
 
 // eventStamps extracts one timestamp column of an event table keyed by
-// reqid#seq, skipping rows without the stamp (leaf tiers log "-" for DS).
-func eventStamps(db *mscopedb.DB, table, col string) (map[string]int64, error) {
+// (reqid, seq), skipping rows without the stamp (leaf tiers log "-" for DS).
+func eventStamps(db *mscopedb.DB, table, col string) (map[visitKey]int64, error) {
 	tbl, err := db.Table(table)
 	if err != nil {
 		return nil, err
@@ -71,7 +71,7 @@ func eventStamps(db *mscopedb.DB, table, col string) (map[string]int64, error) {
 		return nil, fmt.Errorf("core: %s lacks reqid/%s columns", table, col)
 	}
 	cols := tbl.Columns()
-	out := make(map[string]int64, tbl.Rows())
+	out := make(map[visitKey]int64, tbl.Rows())
 	for r := 0; r < tbl.Rows(); r++ {
 		id := tbl.Str(reqCI, r)
 		if id == "" {
@@ -90,9 +90,16 @@ func eventStamps(db *mscopedb.DB, table, col string) (map[string]int64, error) {
 				return nil, err
 			}
 		}
-		out[id+"#"+strconv.FormatInt(seq, 10)] = ts
+		out[visitKey{id, seq}] = ts
 	}
 	return out, nil
+}
+
+// visitKey names one visit of a request at a tier: its reqid and query
+// sequence number.
+type visitKey struct {
+	id  string
+	seq int64
 }
 
 // eventMicros reads a numeric event cell that schema inference may have

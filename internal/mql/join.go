@@ -193,7 +193,7 @@ func keyColumn(t *mscopedb.Table, col string) (keyInfo, error) {
 	if ci < 0 {
 		return keyInfo{}, fmt.Errorf("mql: join column %q absent from %s", col, t.Name())
 	}
-	return keyInfo{idx: ci, typ: t.Columns()[ci].Type}, nil
+	return keyInfo{idx: ci, typ: t.ColType(ci)}, nil
 }
 
 // splitQualified splits "alias.col" into its parts.

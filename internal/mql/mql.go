@@ -194,7 +194,7 @@ func coerce(tbl *mscopedb.Table, col, lit string) (any, error) {
 	if ci < 0 {
 		return nil, fmt.Errorf("mql: no column %q in %s", col, tbl.Name())
 	}
-	typ := tbl.Columns()[ci].Type
+	typ := tbl.ColType(ci)
 	switch typ {
 	case mscopedb.TInt:
 		v, err := strconv.ParseInt(lit, 10, 64)

@@ -153,6 +153,13 @@ func (t *Table) Columns() []Column {
 	return out
 }
 
+// NumCols returns the column count.
+func (t *Table) NumCols() int { return len(t.cols) }
+
+// ColType returns column i's type without copying the schema; i must be
+// in [0, NumCols()).
+func (t *Table) ColType(i int) Type { return t.cols[i].Type }
+
 // ColIndex returns the index of the named column, or -1.
 func (t *Table) ColIndex(name string) int {
 	i, ok := t.colIdx[name]

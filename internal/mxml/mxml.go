@@ -39,36 +39,38 @@ type Entry struct {
 	Fields []Field
 }
 
+// pooledFields is the field capacity of a pooled entry: the widest schema
+// any built-in monitor emits (collectl's 17 columns), so a pool miss costs
+// one allocation per record instead of a 1→2→4→8→16 doubling chain.
+const pooledFields = 17
+
 // fieldPool recycles field storage between entries. Parsers allocate one
 // entry per record on the hot ingest path; pooling the backing arrays
 // removes that per-record allocation. Ownership transfers with the entry:
 // a sink that copies what it needs calls Release, a sink that retains the
 // entry simply never does (the pool misses and allocates fresh storage,
-// which is the pre-pool behavior).
+// which is the pre-pool behavior). Sharded parses retain every entry until
+// the sequenced append, so misses are the common case there. The pool
+// holds array pointers, which Release recovers from the slice itself, so
+// returning storage allocates nothing.
 var fieldPool = sync.Pool{
-	// Start at the widest schema any built-in monitor emits (collectl's 17
-	// columns): a pool miss then costs one allocation per record instead of
-	// a 1→2→4→8→16 doubling chain. Sharded parses retain every entry until
-	// the sequenced append, so misses are the common case there.
-	New: func() any { s := make([]Field, 0, 17); return &s },
+	New: func() any { return new([pooledFields]Field) },
 }
 
 // NewEntry returns an entry whose field storage may be recycled from a
 // previous entry's Release. Use it on hot paths; the zero Entry remains
 // valid everywhere else.
 func NewEntry() Entry {
-	p := fieldPool.Get().(*[]Field)
-	return Entry{Fields: (*p)[:0]}
+	return Entry{Fields: fieldPool.Get().(*[pooledFields]Field)[:0]}
 }
 
 // Release returns the entry's field storage to the pool and clears the
 // entry. Only call it when no reference to the fields outlives the call.
+// Storage smaller than a pooled entry's is left to the garbage collector.
 func (e *Entry) Release() {
-	if cap(e.Fields) == 0 {
-		return
+	if cap(e.Fields) >= pooledFields {
+		fieldPool.Put((*[pooledFields]Field)(e.Fields[:pooledFields]))
 	}
-	s := e.Fields[:0]
-	fieldPool.Put(&s)
 	e.Fields = nil
 }
 

@@ -62,6 +62,9 @@ type detector struct {
 	count    int
 
 	alerted []analysis.Window
+	// pit is the series buffer reused by every advance; the detection it
+	// feeds does not retain it.
+	pit mscopedb.Series
 }
 
 func newDetector(db *mscopedb.DB, window, grace time.Duration) *detector {
@@ -97,14 +100,16 @@ func (d *detector) observe(uaUS, udUS int64) {
 
 // series materializes the PIT buckets up to hiUS (inclusive bucket start)
 // on the absolute grid, empty buckets filled with zero — mirroring the
-// batch PointInTimeRT construction.
+// batch PointInTimeRT construction. The result is valid until the next
+// call.
 func (d *detector) series(hiUS int64) *mscopedb.Series {
-	var s mscopedb.Series
+	s := &d.pit
+	s.StartMicros, s.Values = s.StartMicros[:0], s.Values[:0]
 	for b := d.loB; b <= hiUS; b += d.windowUS {
 		s.StartMicros = append(s.StartMicros, b)
 		s.Values = append(s.Values, d.buckets[b])
 	}
-	return &s
+	return s
 }
 
 // advance runs detection against the low watermark. final relaxes the

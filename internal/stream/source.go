@@ -165,11 +165,15 @@ func (s *source) eventTimeUS(e *mxml.Entry) (int64, bool) {
 // created from the first record's inferred schema, and later records that
 // contradict it widen columns or add new ones in place — converging on
 // the same schema the batch converter's whole-file inference would have
-// produced.
+// produced. The schema is read in place (ColType), and each record is
+// laid out in a reused row buffer indexed by column, so a record that
+// fits the settled schema costs one column lookup and one parse check per
+// field and allocates nothing here.
 type appender struct {
 	db    *mscopedb.DB
 	name  string
 	table *mscopedb.Table
+	row   []string
 }
 
 func newAppender(db *mscopedb.DB, name string) *appender {
@@ -194,22 +198,34 @@ func (a *appender) append(e mxml.Entry) error {
 		}
 		a.table = t
 	}
+	t := a.table
+	n := t.NumCols()
+	if cap(a.row) < n {
+		a.row = make([]string, n)
+	}
+	row := a.row[:n]
+	clear(row)
 	for _, f := range e.Fields {
-		ci := a.table.ColIndex(f.Name)
+		ci := t.ColIndex(f.Name)
 		if ci < 0 {
 			inf := xmlcsv.NewInference()
 			inf.Observe(mxml.Entry{Fields: []mxml.Field{f}})
-			if err := a.table.AddColumn(inf.Columns()[0]); err != nil {
+			if err := t.AddColumn(inf.Columns()[0]); err != nil {
 				return err
 			}
-			continue
-		}
-		cur := a.table.Columns()[ci].Type
-		if want := xmlcsv.WidenFor(cur, f.Value, f.Hint); want != cur {
-			if err := a.table.Widen(f.Name, want); err != nil {
-				return err
+			ci = len(row)
+			row = append(row, "")
+		} else {
+			cur := t.ColType(ci)
+			if want := xmlcsv.WidenFor(cur, f.Value, f.Hint); want != cur {
+				if err := t.Widen(f.Name, want); err != nil {
+					return err
+				}
 			}
 		}
+		// Duplicate field names keep the last value, as in the batch path.
+		row[ci] = f.Value
 	}
-	return a.table.AppendStrings(xmlcsv.Row(e, a.table.Columns()))
+	a.row = row
+	return t.AppendStrings(row)
 }

@@ -117,9 +117,20 @@ func (s *entrySet) reserve(entries, fields int) {
 	}
 }
 
-// add is the parser's Emit sink: normalize, copy into the arena, observe,
-// and recycle the entry's field storage.
+// add is the parser's Emit sink: copy the entry in, then recycle its
+// field storage for the parser's next record.
 func (s *entrySet) add(e mxml.Entry) error {
+	s.copyIn(e)
+	e.Release()
+	return nil
+}
+
+// copyIn normalizes the entry's fields into the arena and observes them.
+// The sharded stitch calls it directly and does not Release: it holds a
+// whole file's entries, and releasing them at once would park a file's
+// worth of field storage (tens of MB) in the pool, live until two GC
+// cycles pass, with no parse left to reuse most of it.
+func (s *entrySet) copyIn(e mxml.Entry) {
 	start := len(s.fields)
 	for _, f := range e.Fields {
 		name := normalizeXML(f.Name)
@@ -131,8 +142,6 @@ func (s *entrySet) add(e mxml.Entry) error {
 	}
 	s.ends = append(s.ends, len(s.fields))
 	s.inf.Observe(mxml.Entry{Fields: s.fields[start:]})
-	e.Release()
-	return nil
 }
 
 // columns finalizes schema inference, reproducing the converter's failure

@@ -313,9 +313,7 @@ func processChunked(ctx context.Context, sem *semaphore, j *fileJob, cp parsers.
 		}
 		set.reserve(len(entries), nf)
 		for _, e := range entries {
-			if err := set.add(e); err != nil {
-				return fileOutcome{err: err}
-			}
+			set.copyIn(e)
 		}
 		return finishDirect(fr, set, workDir, obs, j.name)
 	}

@@ -99,6 +99,55 @@ func classify(value, hint string) inferState {
 	return stString
 }
 
+// widen returns merge(cur, classify(value, hint)): the column state after
+// also storing value. A settled column is checked with the one parse its
+// type implies — success proves the merge is a no-op — so the common case
+// never allocates and never runs classify's failing guesses (whose error
+// values allocate). Only a value that does not fit falls back to the full
+// classification.
+func widen(cur inferState, value, hint string) inferState {
+	if value == "" || cur == stString {
+		return cur
+	}
+	switch cur {
+	case stInt:
+		if hint != "time" {
+			if _, err := strconv.ParseInt(value, 10, 64); err == nil {
+				return stInt
+			}
+		}
+	case stFloat:
+		// classify yields int or float for anything ParseFloat accepts,
+		// and float absorbs both.
+		if hint != "time" {
+			if _, err := strconv.ParseFloat(value, 64); err == nil {
+				return stFloat
+			}
+		}
+	case stTime:
+		// No TimeLayout value also parses as a number, so classify yields
+		// time for it with or without the hint.
+		if _, err := time.Parse(mxml.TimeLayout, value); err == nil {
+			return stTime
+		}
+	}
+	return merge(cur, classify(value, hint))
+}
+
+// stateOf maps a column type back onto the inference lattice.
+func stateOf(t mscopedb.Type) inferState {
+	switch t {
+	case mscopedb.TInt:
+		return stInt
+	case mscopedb.TFloat:
+		return stFloat
+	case mscopedb.TTime:
+		return stTime
+	default:
+		return stString
+	}
+}
+
 func toDBType(s inferState) mscopedb.Type {
 	switch s {
 	case stInt:
@@ -123,28 +172,17 @@ func ConvertFile(mxmlPath, outDir string) (Converted, error) {
 	}
 
 	// Pass 1: union of columns (first-appearance order) + type inference.
-	var colOrder []string
-	states := make(map[string]inferState)
+	inf := NewInference()
 	meta, err := scanDoc(mxmlPath, func(e mxml.Entry) error {
-		for _, f := range e.Fields {
-			if _, seen := states[f.Name]; !seen {
-				colOrder = append(colOrder, f.Name)
-				states[f.Name] = stUnknown
-			}
-			states[f.Name] = merge(states[f.Name], classify(f.Value, f.Hint))
-		}
+		inf.Observe(e)
 		return nil
 	})
 	if err != nil {
 		return out, err
 	}
-	if len(colOrder) == 0 {
+	cols := inf.Columns()
+	if cols == nil {
 		return out, fmt.Errorf("xmlcsv: %s: document has no fields", mxmlPath)
-	}
-
-	cols := make([]mscopedb.Column, len(colOrder))
-	for i, name := range colOrder {
-		cols[i] = mscopedb.Column{Name: name, Type: toDBType(states[name])}
 	}
 
 	out.Table = meta.Table
@@ -260,28 +298,32 @@ func SchemaPathFor(csvPath string) string {
 }
 
 // Inference is the bottom-up schema-inference state exposed for
-// incremental use: the streaming ingest (internal/stream) observes entries
-// one at a time and asks for the column set once enough records have been
-// buffered, instead of scanning a completed mxml document twice. The
-// lattice is identical to ConvertFile's.
+// incremental use: the batch direct path observes entries as the parser
+// emits them, and the streaming ingest (internal/stream) infers a new
+// table's schema from its first record. ConvertFile runs the same state
+// over a finished mxml document.
 type Inference struct {
 	order  []string
-	states map[string]inferState
+	states []inferState
+	pos    map[string]int
 }
 
 // NewInference returns an empty inference.
 func NewInference() *Inference {
-	return &Inference{states: make(map[string]inferState)}
+	return &Inference{pos: make(map[string]int)}
 }
 
 // Observe folds one entry's fields into the inference.
 func (inf *Inference) Observe(e mxml.Entry) {
 	for _, f := range e.Fields {
-		if _, seen := inf.states[f.Name]; !seen {
+		i, seen := inf.pos[f.Name]
+		if !seen {
+			i = len(inf.order)
+			inf.pos[f.Name] = i
 			inf.order = append(inf.order, f.Name)
-			inf.states[f.Name] = stUnknown
+			inf.states = append(inf.states, stUnknown)
 		}
-		inf.states[f.Name] = merge(inf.states[f.Name], classify(f.Value, f.Hint))
+		inf.states[i] = widen(inf.states[i], f.Value, f.Hint)
 	}
 }
 
@@ -293,7 +335,7 @@ func (inf *Inference) Columns() []mscopedb.Column {
 	}
 	cols := make([]mscopedb.Column, len(inf.order))
 	for i, name := range inf.order {
-		cols[i] = mscopedb.Column{Name: name, Type: toDBType(inf.states[name])}
+		cols[i] = mscopedb.Column{Name: name, Type: toDBType(inf.states[i])}
 	}
 	return cols
 }
@@ -301,39 +343,8 @@ func (inf *Inference) Columns() []mscopedb.Column {
 // WidenFor returns the column type needed to also store the given value:
 // the merge of the current type with the value's classification. Equal to
 // cur when the value already fits — the streaming ingest widens the live
-// table only when this differs.
+// table only when this differs. It runs the same step as Observe, so a
+// value that fits its column costs one parse and no allocation.
 func WidenFor(cur mscopedb.Type, value, hint string) mscopedb.Type {
-	var st inferState
-	switch cur {
-	case mscopedb.TInt:
-		st = stInt
-	case mscopedb.TFloat:
-		st = stFloat
-	case mscopedb.TTime:
-		st = stTime
-	default:
-		st = stString
-	}
-	merged := merge(st, classify(value, hint))
-	if merged == stUnknown {
-		return cur
-	}
-	return toDBType(merged)
-}
-
-// Row renders one entry as a cell row in schema order: absent fields are
-// empty cells, duplicate field names keep the last value (the same rule
-// ConvertFile applies).
-func Row(e mxml.Entry, cols []mscopedb.Column) []string {
-	pos := make(map[string]int, len(cols))
-	for i, c := range cols {
-		pos[c.Name] = i
-	}
-	row := make([]string, len(cols))
-	for _, f := range e.Fields {
-		if i, ok := pos[f.Name]; ok {
-			row[i] = f.Value
-		}
-	}
-	return row
+	return toDBType(widen(stateOf(cur), value, hint))
 }

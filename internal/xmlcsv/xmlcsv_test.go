@@ -247,3 +247,58 @@ func TestClassify(t *testing.T) {
 		}
 	}
 }
+
+// FuzzWidenEquivalence pins the widening fast path to its definition: for
+// every column state and both hints, widen must equal the full
+// merge(cur, classify(v, hint)) the batch converter was built on.
+func FuzzWidenEquivalence(f *testing.F) {
+	for _, v := range []string{
+		"", "0", "42", "-17", "+3", "9223372036854775808", "3.5", "1e3",
+		"1e400", "NaN", "Inf", "0x1p4", "1_000", " 1", "-",
+		"2017-04-01T00:00:12.345Z", "2017-04-01T00:00:12+02:00", "GET",
+	} {
+		f.Add(v, false)
+		f.Add(v, true)
+	}
+	states := []inferState{stUnknown, stInt, stFloat, stTime, stString}
+	f.Fuzz(func(t *testing.T, v string, timeHint bool) {
+		hint := ""
+		if timeHint {
+			hint = "time"
+		}
+		for _, cur := range states {
+			if got, want := widen(cur, v, hint), merge(cur, classify(v, hint)); got != want {
+				t.Fatalf("widen(%v, %q, %q) = %v, want %v", cur, v, hint, got, want)
+			}
+		}
+	})
+}
+
+var widenSink mscopedb.Type
+
+// A value that fits its column — the steady state of every live append —
+// must widen without allocating.
+func TestWidenSettledNoAllocs(t *testing.T) {
+	cases := []struct {
+		cur         mscopedb.Type
+		value, hint string
+	}{
+		{mscopedb.TInt, "1491004800123456", ""},
+		{mscopedb.TFloat, "87.25", ""},
+		{mscopedb.TFloat, "12", ""},
+		{mscopedb.TTime, "2017-04-01T00:00:12.345678Z", "time"},
+		{mscopedb.TString, "GET", ""},
+		{mscopedb.TString, "2017-04-01T00:00:12.345678Z", "time"},
+	}
+	for _, c := range cases {
+		if got := WidenFor(c.cur, c.value, c.hint); got != c.cur {
+			t.Fatalf("WidenFor(%v, %q) = %v, want unchanged", c.cur, c.value, got)
+		}
+		allocs := testing.AllocsPerRun(100, func() {
+			widenSink = WidenFor(c.cur, c.value, c.hint)
+		})
+		if allocs != 0 {
+			t.Errorf("WidenFor(%v, %q): %.1f allocs, want 0", c.cur, c.value, allocs)
+		}
+	}
+}

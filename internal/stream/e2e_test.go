@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -315,5 +316,145 @@ func TestPipelineChaosQuarantine(t *testing.T) {
 	}
 	if !found {
 		t.Errorf("no disk-io@mysql verdict from the degraded stream; got %d alerts", len(pipe.Alerts()))
+	}
+}
+
+// copyStreamable copies the staged trial's streamable logs into a fresh
+// directory and returns it with each file's size.
+func copyStreamable(t *testing.T, stage string) (string, map[string]int64) {
+	t.Helper()
+	plan := transform.DefaultPlan()
+	dir := t.TempDir()
+	entries, err := os.ReadDir(stage)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sizes := map[string]int64{}
+	for _, e := range entries {
+		if e.IsDir() || !Streamable(plan, e.Name()) {
+			continue
+		}
+		data, err := os.ReadFile(filepath.Join(stage, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, e.Name()), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		sizes[e.Name()] = int64(len(data))
+	}
+	return dir, sizes
+}
+
+// TestPipelineTickCatchesUp starts a pipeline on logs already written,
+// several times the tailer's read cap, with a long poll interval: the
+// ticks alone, before any shutdown drain, must read every file to its
+// end. A tailer that read one capped step per tick would need a dozen
+// intervals for the largest log.
+func TestPipelineTickCatchesUp(t *testing.T) {
+	stage := stagedDBIO(t)
+	bdb, _ := batchBaseline(t)
+	dir, sizes := copyStreamable(t, stage)
+	var largest int64
+	for _, n := range sizes {
+		largest = max(largest, n)
+	}
+	if largest < 8*maxReadBytes {
+		t.Fatalf("largest staged log is %d bytes; the test needs one of at least %d", largest, 8*maxReadBytes)
+	}
+	const poll = time.Second
+	pipe, err := New(Config{LogDir: dir, Poll: poll})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pipe.Start()
+	deadline := time.Now().Add(6 * poll)
+	for {
+		st := pipe.Status()
+		caught := len(st.Sources) == len(sizes)
+		for _, s := range st.Sources {
+			caught = caught && s.Offset == sizes[filepath.Base(s.File)]
+		}
+		if caught {
+			break
+		}
+		if time.Now().After(deadline) {
+			_ = pipe.Stop()
+			t.Fatalf("sources still behind %v after start: %+v", 6*poll, st.Sources)
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+	if err := pipe.Stop(); err != nil {
+		t.Fatal(err)
+	}
+	compareRows(t, pipe.DB(), bdb)
+}
+
+// TestPipelineStopWithRacingWriter stops a pipeline while a writer keeps
+// appending to its log: the shutdown drain polls while bytes arrive, but
+// a bounded number of times, so Stop returns with the writer still going.
+func TestPipelineStopWithRacingWriter(t *testing.T) {
+	stage := stagedDBIO(t)
+	const name = "tomcat_mscope.log"
+	data, err := os.ReadFile(filepath.Join(stage, name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	path := filepath.Join(dir, name)
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	pipe, err := New(Config{LogDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pipe.Start()
+
+	// The writer replays the log's own records in line-aligned steps of
+	// about 8 KiB a millisecond, until Stop returns or it has written 64
+	// MiB — a writer that outlives Stop's drain is the case under test.
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	stopped := make(chan struct{})
+	var ranOut atomic.Bool
+	go func() {
+		written, off := 0, 0
+		for written < 64<<20 {
+			select {
+			case <-stopped:
+				return
+			default:
+			}
+			end := min(off+8<<10, len(data))
+			if i := bytes.LastIndexByte(data[off:end], '\n'); i >= 0 && end < len(data) {
+				end = off + i + 1
+			}
+			n, err := f.Write(data[off:end])
+			if err != nil {
+				return
+			}
+			written += n
+			if off = end; off == len(data) {
+				off = 0
+			}
+			time.Sleep(time.Millisecond)
+		}
+		ranOut.Store(true)
+	}()
+	time.Sleep(50 * time.Millisecond)
+	err = pipe.Stop()
+	close(stopped)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ranOut.Load() {
+		t.Fatal("Stop returned only once the writer had stopped writing")
+	}
+	if st := pipe.Status(); st.Rows == 0 {
+		t.Fatal("the drain loaded nothing")
 	}
 }
